@@ -1,5 +1,5 @@
 # dnsguard build/verify entry points. `make check` is the full local gate:
-# vet, the race-enabled suite, and a short fuzz smoke on both dnswire targets.
+# vet, the race-enabled suite, and a short fuzz smoke on every fuzz target.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -22,10 +22,15 @@ race:
 
 # Short deterministic-ish smoke on each fuzz target; regressions in the
 # checked-in corpus (testdata/fuzz/...) fail `make test` already, this adds
-# fresh mutation coverage.
+# fresh mutation coverage. The decoders, the zero-copy view and record
+# walker against Unpack, and the guard's wire referral arm against its
+# materializing arm.
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzNameRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzViewAgreement$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dnswire -run='^$$' -fuzz='^FuzzRecordWalk$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/guard -run='^$$' -fuzz='^FuzzReferralDifferential$$' -fuzztime=$(FUZZTIME)
 
 # Boot a guarded ANS with -metrics-addr, scrape /metrics once, and check the
 # guard's series are present. End-to-end proof the observability layer serves.
@@ -90,16 +95,19 @@ api-check:
 # One short pass over the real-time engine benchmark (1 shard, clean load,
 # per-packet and batched I/O), one scaled-down Table III regeneration, and
 # the DESIGN §17 allocation/cost gates: the wire-to-wire fast path must stay
-# at 0 allocs per verified packet cycle (TestFastPathWireAllocs), both cookie
-# MAC schemes must verify allocation-free (BenchmarkCookieVerifyMAC), and one
-# verification under either scheme must cost less than the host's measured
-# per-datagram send syscall (TestMACCostBelowSyscall).
+# at 0 allocs per verified packet cycle, referral included
+# (TestFastPathWireAllocs), a warm loopback batch write+read must not
+# allocate (TestBatchIOAllocs), both cookie MAC schemes must verify
+# allocation-free (BenchmarkCookieVerifyMAC), and one verification under
+# either scheme must cost less than the host's measured per-datagram send
+# syscall (TestMACCostBelowSyscall).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkEngineThroughput$$/shards=1/spoof=0$$/batch=1$$' -benchtime=1x -short .
 	$(GO) test -run='^$$' -bench='^BenchmarkEngineThroughput$$/shards=1/spoof=0$$/batch=32$$' -benchtime=1x -short .
 	$(GO) test -run='^$$' -bench='^BenchmarkTableIII_NSName$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkCookieVerifyMAC$$' -benchtime=1000x .
 	$(GO) test -run='^TestFastPathWireAllocs$$' -count=1 ./internal/guard
+	$(GO) test -run='^TestBatchIOAllocs$$' -count=1 ./internal/realnet
 	$(GO) test -run='^TestMACCostBelowSyscall$$' -count=1 -v ./internal/experiments
 	DNSGUARD_SCALING_SMOKE=1 $(GO) test -run='^TestShardScalingSmoke$$' -count=1 -v ./internal/experiments
 

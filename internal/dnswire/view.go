@@ -25,7 +25,9 @@ package dnswire
 //     offset past the question; callers that need "nothing but a question"
 //     (the guard's pass-through shape check) compare End to the datagram
 //     length and the three RR counts to zero rather than trusting the View
-//     to have seen the whole message.
+//     to have seen the whole message. Callers that need the records walk
+//     them with Records (walk.go), which extends the same accept-subset
+//     rule to every owner name and RDATA field.
 
 // headerLen is the fixed DNS message header size.
 const headerLen = 12
@@ -50,36 +52,8 @@ func ParseView(b []byte) (View, bool) {
 	if int(b[4])<<8|int(b[5]) == 0 { // QDCOUNT
 		return View{}, false
 	}
-	off := headerLen
-	total := 0
-	for {
-		if off >= len(b) {
-			return View{}, false
-		}
-		c := int(b[off])
-		if c == 0 {
-			off++
-			break
-		}
-		if c >= 64 {
-			// Compression pointer or reserved label type: not viewable.
-			return View{}, false
-		}
-		if off+1+c > len(b) {
-			return View{}, false
-		}
-		total += c + 1
-		if total+1 > MaxNameWireLen {
-			return View{}, false
-		}
-		for _, x := range b[off+1 : off+1+c] {
-			if x >= 0x80 || x == '.' {
-				return View{}, false
-			}
-		}
-		off += 1 + c
-	}
-	if off+4 > len(b) {
+	off, ok := walkName(b, headerLen, false)
+	if !ok || off+4 > len(b) {
 		return View{}, false
 	}
 	return View{buf: b, nameLen: off - headerLen, end: off + 4}, true

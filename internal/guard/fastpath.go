@@ -1,23 +1,27 @@
 // Zero-allocation wire-to-wire fast path for verified sources.
 //
 // The materializing pipeline (handle → Unpack → handleNSCookie → NewQuery →
-// PackUDP, and its upstream mirror) allocates a Message, name strings, and a
-// packed wire per packet. For a source that is already in the engine's
-// verified cache none of that structure is consulted — the guard only needs
-// the cookie label bytes (to compare against the cached credential) and the
-// question span (to rewrite and forward). This file handles that traffic as
-// dnswire.View reads over the borrowed ingress slab, with entry-owned reused
-// byte buffers in the pending NAT table and per-shard scratch buffers for the
-// outgoing wires.
+// PackUDP, and its upstream mirror Unpack → answerChild → PackUDP) allocates
+// a Message, name strings, and a packed wire per packet. For a source that
+// is already in the engine's verified cache none of that structure is
+// consulted — the guard only needs the cookie label bytes (to compare
+// against the cached credential), the question span (to rewrite and
+// forward), and on the way back the response's rcode and glue addresses (to
+// fabricate message 6). This file handles that traffic as dnswire.View reads
+// over the borrowed slabs — the record walker (View.Records) for the ANS's
+// referral — with entry-owned reused byte buffers in the pending NAT table
+// and per-shard scratch buffers for the outgoing wires.
 //
 // The contract with the materializing path is strict equivalence: a fast
 // handler either *commits* — in which case every counter, every CPU charge,
 // and every emitted byte is identical to what the materializing path would
 // have produced — or it *bails* before any observable effect and the
 // materializing path runs as if the fast path did not exist. Anything
-// unusual (extra records, compressed or non-ASCII names, mixed-case echoes,
-// reserved flag bits on a raw-relay shape) bails. Deterministic replays with
-// FastPathTTL == 0 never enter any of these functions.
+// unusual (answer records, NXDOMAIN with authority, authority other than
+// NS, compressed question names, non-ASCII names, mixed-case echoes,
+// replies PackUDP would truncate, reserved flag bits on a raw-relay shape)
+// bails. Deterministic replays with FastPathTTL == 0 never enter any of
+// these functions.
 
 package guard
 
@@ -74,8 +78,9 @@ func (s *remoteShard) recycleEntry(e *pendEntry) {
 // materializeFastLocked fills the decoded fields of a fast entry so the
 // materializing upstream path can run its question-echo comparison and
 // answerChild transformation on it (caller holds s.mu). Only responses the
-// fast upstream path bails on — answers, referrals, mixed-case echoes — pay
-// this cost, and only once per entry.
+// fast upstream path bails on — answers, NXDOMAIN with authority, mixed-case
+// echoes, replies PackUDP would truncate — pay this cost, and only once per
+// entry; referrals and empty responses are fabricated on the wire.
 func (s *remoteShard) materializeFastLocked(entry *pendEntry) {
 	if q, _, err := dnswire.UnpackQuestion(entry.fwdWire); err == nil {
 		entry.fwdQ = q
@@ -319,16 +324,19 @@ func (s *remoteShard) tryFastPassthrough(pkt Packet) bool {
 }
 
 // tryFastUpstream consumes an ANS response for a fast pending entry without
-// materializing it. Only the all-success shape commits: a single-question
-// response with no records, echoing the forwarded question byte-for-byte,
-// from the expected upstream. Everything else — answers, referrals, case
-// deviations, wrong question, wrong source, missing entry — bails with the
-// entry untouched, and the materializing path re-derives its own verdict
-// (spoofed, stray, or a real answer) exactly as before.
+// materializing it. It commits only when the response comes from the
+// entry's upstream, echoes the forwarded question byte-for-byte as the sole
+// question, and has a shape the entry's wire arm reproduces exactly: for a
+// raw relay, no records at all; for a child query, any shape childAnswers
+// plans. Everything else — answers, NXDOMAIN with authority, non-NS
+// authority, case deviations, wrong question, wrong source, missing or
+// materializing entry — bails with the entry untouched, and the
+// materializing path re-derives its own verdict (spoofed, stray, or a real
+// answer) exactly as before.
 func (s *remoteShard) tryFastUpstream(payload []byte, src netip.AddrPort) bool {
 	g := s.g
 	v, ok := dnswire.ParseView(payload)
-	if !ok || !v.QR() || !viewFastShape(v, len(payload)) {
+	if !ok || !v.QR() || v.QDCount() != 1 {
 		return false
 	}
 	id := v.ID()
@@ -339,9 +347,32 @@ func (s *remoteShard) tryFastUpstream(payload []byte, src netip.AddrPort) bool {
 		s.mu.Unlock()
 		return false
 	}
-	if entry.kind != pendChild && v.RawFlags()&flagsZMask != 0 {
-		// Raw relay must repack as a no-op; Z bits would be cleared by the
-		// materializing path. Rare: let it do the clearing.
+	var reply []byte
+	if entry.kind == pendChild {
+		// answerChild's message 6, built while the entry is still in the
+		// table so a bail leaves it for the materializing path: header
+		// {QR, AA, rcode}, the client's question, then the planned answers,
+		// whose owner PackUDP would compress to the question name at offset
+		// 12 (a fabricated name is never the root, which Pack leaves
+		// uncompressed).
+		reply = append(s.upBuf[:0],
+			byte(entry.origID>>8), byte(entry.origID),
+			0x84, 0, // QR|AA, opcode 0; rcode patched below
+			0, 1, 0, 0, 0, 0, 0, 0)
+		reply = append(reply, entry.qwire...)
+		q := len(reply)
+		var rcode dnswire.RCode
+		rcode, reply, ok = childAnswers(v, reply)
+		ok = ok && len(reply) <= dnswire.MaxUDPSize // else PackUDP truncates
+		n := (len(reply) - q) / glueAnswerLen
+		reply[3], reply[6], reply[7] = byte(rcode), byte(n>>8), byte(n)
+		s.upBuf = reply[:0]
+	} else {
+		// Raw relay must repack as a no-op: no records, and no Z bits
+		// (the materializing path would clear them).
+		ok = viewFastShape(v, len(payload)) && v.RawFlags()&flagsZMask == 0
+	}
+	if !ok {
 		s.mu.Unlock()
 		return false
 	}
@@ -359,26 +390,67 @@ func (s *remoteShard) tryFastUpstream(payload []byte, src netip.AddrPort) bool {
 	}
 	switch entry.kind {
 	case pendChild:
-		// A no-record response can only take answerChild's NXDomain or
-		// ServFail arms (the referral and answer arms need records), both of
-		// which fabricate header {QR, AA, RCode} + the client's question.
-		rcode := byte(dnswire.RCodeServFail)
-		if dnswire.RCode(v.RawFlags()&0xF) == dnswire.RCodeNXDomain {
-			rcode = byte(dnswire.RCodeNXDomain)
-		}
-		buf := append(s.upBuf[:0],
-			byte(entry.origID>>8), byte(entry.origID),
-			0x84, rcode, // QR|AA, opcode 0, rcode
-			0, 1, 0, 0, 0, 0, 0, 0)
-		buf = append(buf, entry.qwire...)
-		s.upBuf = buf[:0]
-		g.replyWire(entry.replyFrom, entry.clientSrc, buf)
+		g.replyWire(entry.replyFrom, entry.clientSrc, reply)
 	default: // pendPassthrough (pendDirect entries are never fast)
 		payload[0], payload[1] = byte(entry.origID>>8), byte(entry.origID)
 		g.replyWire(entry.replyFrom, entry.clientSrc, payload)
 	}
 	s.recycleEntry(entry)
 	return true
+}
+
+// glueAnswerLen is one fabricated glue answer: owner pointer C0 0C, type A,
+// class IN, TTL, RDLENGTH 4, the address.
+const glueAnswerLen = 16
+
+// childAnswers plans answerChild's message 6 for the ANS response v without
+// materializing it: the reply rcode, with the answer records appended to dst
+// in wire form. ok is true only for the shapes whose fabrication is the
+// client's question plus these answers:
+//
+//   - NXDOMAIN with no authority records → NXDOMAIN, no answers;
+//   - a referral (no answers, authority all IN NS) → one answer per A record
+//     in additional, in order, carrying the glue TTL and address; SERVFAIL
+//     when there is none;
+//   - no answers and no authority → SERVFAIL.
+//
+// Everything else bails: answers (the IP-cookie arm), NXDOMAIN with
+// authority (answerChild copies it), authority records other than IN NS,
+// glue of a class other than IN, and any record the walker cannot prove
+// Unpack accepts. Other additional records (AAAA glue, OPT) are read and
+// skipped, as answerChild skips them.
+func childAnswers(v dnswire.View, dst []byte) (dnswire.RCode, []byte, bool) {
+	nx := dnswire.RCode(v.RawFlags()&0xF) == dnswire.RCodeNXDomain
+	if v.ANCount() != 0 || (nx && v.NSCount() != 0) {
+		return 0, dst, false
+	}
+	start := len(dst)
+	w := v.Records()
+	for rr, ok := w.Next(); ok; rr, ok = w.Next() {
+		switch {
+		case rr.Section == dnswire.SectionAuthority:
+			if rr.Type != dnswire.TypeNS || rr.Class != dnswire.ClassINET {
+				return 0, dst, false
+			}
+		case rr.Type == dnswire.TypeA:
+			if rr.Class != dnswire.ClassINET {
+				return 0, dst, false
+			}
+			dst = append(dst, 0xC0, 12, 0, 1, 0, 1,
+				byte(rr.TTL>>24), byte(rr.TTL>>16), byte(rr.TTL>>8), byte(rr.TTL), 0, 4)
+			dst = append(dst, rr.Data...)
+		}
+	}
+	switch {
+	case !w.Done():
+		return 0, dst, false
+	case nx:
+		return dnswire.RCodeNXDomain, dst[:start], true
+	case v.NSCount() > 0 && len(dst) > start:
+		return dnswire.RCodeNoError, dst, true
+	default:
+		return dnswire.RCodeServFail, dst[:start], true
+	}
 }
 
 // replyWire emits an already-packed guard response: g.reply with the packing

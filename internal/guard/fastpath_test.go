@@ -6,10 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"dnsguard/internal/ans"
+	"dnsguard/internal/cpumodel"
 	"dnsguard/internal/dnswire"
 	"dnsguard/internal/netapi"
 	"dnsguard/internal/netsim"
 	"dnsguard/internal/vclock"
+	"dnsguard/internal/zone"
 )
 
 // The fast path's contract is byte- and counter-equivalence with the
@@ -19,11 +22,13 @@ import (
 // whole verified cycle at zero allocations against stub I/O.
 
 // sinkConn is a stub upstream socket capturing the last datagram written.
+// resp is scratch for the response a test feeds back.
 type sinkConn struct {
 	buf   [dnswire.MaxUDPSize]byte
 	n     int
 	dst   netip.AddrPort
 	wrote int
+	resp  []byte
 }
 
 func (c *sinkConn) ReadFrom(timeout time.Duration) ([]byte, netip.AddrPort, error) {
@@ -69,7 +74,7 @@ type fastHarness struct {
 	up *sinkConn
 }
 
-func newFastHarness(t *testing.T, mutate func(*RemoteConfig)) *fastHarness {
+func newFastHarness(t testing.TB, mutate func(*RemoteConfig)) *fastHarness {
 	t.Helper()
 	sched := vclock.New(1)
 	network := netsim.New(sched, time.Millisecond)
@@ -97,7 +102,7 @@ func newFastHarness(t *testing.T, mutate func(*RemoteConfig)) *fastHarness {
 }
 
 // nsQueryWire packs a query for the fabricated name carrying src's cookie.
-func (h *fastHarness) nsQueryWire(t *testing.T, src netip.Addr, child string, id uint16) []byte {
+func (h *fastHarness) nsQueryWire(t testing.TB, src netip.Addr, child string, id uint16) []byte {
 	t.Helper()
 	c := h.g.cfg.Auth.Mint(src)
 	fab, err := FabricateNSName(h.g.nsc, c, dnswire.MustName(child))
@@ -274,8 +279,10 @@ func TestFastPassthroughRelay(t *testing.T) {
 }
 
 // TestFastPathWireAllocs pins the whole verified cycle — cookie query in,
-// rewritten forward out, empty response in, fabricated reply out — at zero
-// allocations against stub I/O, and the inactive passthrough relay likewise.
+// rewritten forward out, response in, fabricated reply out — at zero
+// allocations against stub I/O, for both the empty NXDOMAIN and the
+// NS-plus-glue referral response, and the inactive passthrough relay
+// likewise.
 // Real transports add their own syscall-side cost; the bench harness gates
 // the end-to-end figure (≤ 2 allocs/packet) separately.
 func TestFastPathWireAllocs(t *testing.T) {
@@ -304,6 +311,22 @@ func TestFastPathWireAllocs(t *testing.T) {
 		t.Errorf("verified NS cycle allocates %.1f/op, want 0", n)
 	}
 
+	rh, _ := newReferralHarness(t)
+	rquery := rh.nsQueryWire(t, src.Addr(), "www.foo.com", 0x44)
+	referral := packResponse(t, func(m *dnswire.Message) {
+		m.Authority = []dnswire.RR{nsRR("www.foo.com", "ns1.www.foo.com")}
+		m.Additional = []dnswire.RR{aRR("ns1.www.foo.com", 172800, "198.51.100.1")}
+	})
+	rh.cycle(src, rquery, referral, false) // warm: verifies the source
+	if n := testing.AllocsPerRun(200, func() {
+		rh.cycle(src, rquery, referral, false)
+	}); n != 0 {
+		t.Errorf("verified referral cycle allocates %.1f/op, want 0", n)
+	}
+	if reply, err := dnswire.Unpack(rh.io.buf[:rh.io.n]); err != nil || len(reply.Answers) != 1 {
+		t.Errorf("referral cycle reply %v (%v), want one glue answer", reply, err)
+	}
+
 	hp := newFastHarness(t, func(cfg *RemoteConfig) {
 		cfg.ActivationThreshold = 1e12
 	})
@@ -326,4 +349,296 @@ func TestFastPathWireAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("passthrough relay cycle allocates %.1f/op, want 0", n)
 	}
+}
+
+// workMeter is a CPUWorker that sums every charge, so the equivalence tests
+// compare CPU charges as well as counters.
+type workMeter struct {
+	total time.Duration
+	calls int
+}
+
+func (m *workMeter) Work(d time.Duration) { m.total += d; m.calls++ }
+
+// newReferralHarness is a fastHarness with every answerChild arm live (a
+// cookie subnet for the IP-cookie arm) and CPU charges metered, each cost
+// distinct so a missing or extra charge shows in the total.
+func newReferralHarness(t testing.TB) (*fastHarness, *workMeter) {
+	meter := &workMeter{}
+	h := newFastHarness(t, func(cfg *RemoteConfig) {
+		cfg.Subnet = netip.MustParsePrefix("203.0.113.0/24")
+		cfg.CPU = meter
+		cfg.Costs = cpumodel.GuardCosts{
+			PacketOp:    time.Microsecond,
+			CookieCheck: 10 * time.Microsecond,
+			CookieGrant: 100 * time.Microsecond,
+			Rewrite:     1000 * time.Microsecond,
+		}
+	})
+	return h, meter
+}
+
+// cycle sends query from src, then answers the forward with resp under the
+// forwarded transaction ID (resp's own ID is overwritten). With materialize
+// set, the pending entry is first decoded and taken off the wire arm, so
+// the response runs through the Unpack arm exactly as a response the wire
+// arm bailed on would.
+func (h *fastHarness) cycle(src netip.AddrPort, query, resp []byte, materialize bool) {
+	h.s.HandlePacket(Packet{Src: src, Dst: h.g.cfg.PublicAddr, Payload: query})
+	id := uint16(h.up.buf[0])<<8 | uint16(h.up.buf[1])
+	if materialize {
+		h.s.mu.Lock()
+		if e := h.s.pending[id]; e != nil && e.fast {
+			h.s.materializeFastLocked(e)
+			e.fast = false
+		}
+		h.s.mu.Unlock()
+	}
+	r := append(h.up.resp[:0], resp...)
+	if len(r) >= 2 {
+		r[0], r[1] = byte(id>>8), byte(id)
+	}
+	h.up.resp = r
+	h.s.handleUpstream(r, h.g.cfg.ANSAddr)
+}
+
+// packResponse packs the ANS's response to the guard's forwarded question
+// (A? www.foo.com, RD clear) after edit fills in its records.
+func packResponse(t testing.TB, edit func(m *dnswire.Message)) []byte {
+	t.Helper()
+	q := dnswire.NewQuery(0, dnswire.MustName("www.foo.com"), dnswire.TypeA)
+	q.Flags.RD = false
+	m := q.Response()
+	edit(m)
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+func nsRR(owner, host string) dnswire.RR {
+	return dnswire.NewRR(dnswire.MustName(owner), 172800, &dnswire.NSData{Host: dnswire.MustName(host)})
+}
+
+func aRR(owner string, ttl uint32, addr string) dnswire.RR {
+	return dnswire.NewRR(dnswire.MustName(owner), ttl, &dnswire.AData{Addr: mustAddr(addr)})
+}
+
+// referralCase is an ANS response to the forwarded child query. fast says
+// whether the wire arm must commit; rcode and answers describe the reply
+// either arm emits.
+type referralCase struct {
+	name    string
+	resp    []byte
+	fast    bool
+	rcode   dnswire.RCode
+	answers int
+}
+
+// referralCases has one response per answerChild arm and per wire-arm bail
+// reason.
+func referralCases(t testing.TB) []referralCase {
+	glue := func(n int) []dnswire.RR {
+		var rrs []dnswire.RR
+		for i := 0; i < n; i++ {
+			rrs = append(rrs, aRR("ns1.www.foo.com", uint32(3600+i), netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(1 + i)}).String()))
+		}
+		return rrs
+	}
+	referral := func(nGlue int) func(m *dnswire.Message) {
+		return func(m *dnswire.Message) {
+			m.Authority = []dnswire.RR{nsRR("www.foo.com", "ns1.www.foo.com")}
+			m.Additional = glue(nGlue)
+		}
+	}
+	soa := dnswire.NewRR(dnswire.MustName("foo.com"), 60, &dnswire.SOAData{
+		MName: dnswire.MustName("ns.foo.com"), RName: dnswire.MustName("admin.foo.com"), Serial: 1, Minimum: 60})
+	mixedCase := packResponse(t, referral(1))
+	mixedCase[13] = 'W' // first question label "www" → "Www"
+	return []referralCase{
+		{"referral one glue", packResponse(t, referral(1)), true, dnswire.RCodeNoError, 1},
+		{"referral three glue", packResponse(t, func(m *dnswire.Message) {
+			m.Authority = []dnswire.RR{nsRR("www.foo.com", "ns1.www.foo.com"),
+				nsRR("www.foo.com", "ns2.www.foo.com"), nsRR("www.foo.com", "ns.example.net")}
+			m.Additional = []dnswire.RR{aRR("ns1.www.foo.com", 300, "198.51.100.1"),
+				aRR("ns2.www.foo.com", 600, "198.51.100.2"), aRR("ns.example.net", 900, "192.0.2.53")}
+		}), true, dnswire.RCodeNoError, 3},
+		{"referral no glue", packResponse(t, referral(0)), true, dnswire.RCodeServFail, 0},
+		{"referral with AAAA, TXT and OPT additionals", packResponse(t, func(m *dnswire.Message) {
+			m.Authority = []dnswire.RR{nsRR("www.foo.com", "ns1.www.foo.com"), nsRR("www.foo.com", "ns2.www.foo.com")}
+			m.Additional = []dnswire.RR{
+				dnswire.NewRR(dnswire.MustName("ns1.www.foo.com"), 60, &dnswire.AAAAData{Addr: mustAddr("2001:db8::1")}),
+				aRR("ns1.www.foo.com", 60, "198.51.100.1"),
+				dnswire.NewRR(dnswire.MustName("ns2.www.foo.com"), 60, &dnswire.TXTData{Strings: [][]byte{[]byte("x")}}),
+				aRR("ns2.www.foo.com", 70, "198.51.100.2"),
+				{Name: dnswire.Root, Type: dnswire.TypeOPT, Class: 4096, Data: &dnswire.Raw{}},
+			}
+		}), true, dnswire.RCodeNoError, 2},
+		{"nxdomain empty", packResponse(t, func(m *dnswire.Message) {
+			m.Flags.RCode = dnswire.RCodeNXDomain
+		}), true, dnswire.RCodeNXDomain, 0},
+		{"nxdomain with glue-like additional", packResponse(t, func(m *dnswire.Message) {
+			m.Flags.RCode = dnswire.RCodeNXDomain
+			m.Additional = glue(2)
+		}), true, dnswire.RCodeNXDomain, 0},
+		{"empty noerror", packResponse(t, func(m *dnswire.Message) {}), true, dnswire.RCodeServFail, 0},
+		{"additional without authority", packResponse(t, func(m *dnswire.Message) {
+			m.Additional = glue(1)
+		}), true, dnswire.RCodeServFail, 0},
+		{"nxdomain with SOA", packResponse(t, func(m *dnswire.Message) {
+			m.Flags.RCode = dnswire.RCodeNXDomain
+			m.Authority = []dnswire.RR{soa}
+		}), false, dnswire.RCodeNXDomain, 0},
+		{"nxdomain with NS authority", packResponse(t, func(m *dnswire.Message) {
+			referral(1)(m)
+			m.Flags.RCode = dnswire.RCodeNXDomain
+		}), false, dnswire.RCodeNXDomain, 0},
+		{"non-NS authority with glue", packResponse(t, func(m *dnswire.Message) {
+			m.Authority = []dnswire.RR{dnswire.NewRR(dnswire.MustName("www.foo.com"), 60,
+				&dnswire.CNAMEData{Target: dnswire.MustName("ns1.www.foo.com")})}
+			m.Additional = glue(1)
+		}), false, dnswire.RCodeServFail, 0},
+		{"nodata with SOA", packResponse(t, func(m *dnswire.Message) {
+			m.Authority = []dnswire.RR{soa}
+		}), false, dnswire.RCodeServFail, 0},
+		{"answer", packResponse(t, func(m *dnswire.Message) {
+			m.Answers = []dnswire.RR{aRR("www.foo.com", 300, "198.51.100.10")}
+		}), false, dnswire.RCodeNoError, 1},
+		{"glue of class CH", packResponse(t, func(m *dnswire.Message) {
+			referral(1)(m)
+			m.Additional[0].Class = 3
+		}), false, dnswire.RCodeNoError, 1},
+		{"mixed-case echo", mixedCase, false, dnswire.RCodeNoError, 1},
+		// 40 glue answers overflow 512 bytes: PackUDP truncates the
+		// fabricated reply (TC set, answers dropped), so the wire arm bails.
+		{"reply over 512 bytes", packResponse(t, referral(40)), false, dnswire.RCodeNoError, 29},
+	}
+}
+
+// TestFastReferralMatchesSlowPath runs each ANS response shape through two
+// identical guards: one consumes it on the wire arm where it can, the other
+// is forced through the materializing arm. Emitted wires, counters, CPU
+// charges and the pending table must agree exactly, and the wire arm must
+// commit precisely on the shapes it claims (checked by allocation count:
+// only the Unpack arm allocates).
+func TestFastReferralMatchesSlowPath(t *testing.T) {
+	src := mustAP("10.0.0.53:4444")
+	for _, tc := range referralCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			fast, fastCPU := newReferralHarness(t)
+			slow, slowCPU := newReferralHarness(t)
+			query := fast.nsQueryWire(t, src.Addr(), "www.foo.com", 0x5151)
+			fast.cycle(src, query, tc.resp, false) // warm: verifies the source
+			slow.cycle(src, query, tc.resp, false)
+			allocs := testing.AllocsPerRun(4, func() { fast.cycle(src, query, tc.resp, false) })
+			for i := 0; i < 5; i++ {
+				slow.cycle(src, query, tc.resp, true)
+			}
+			if committed := allocs == 0; committed != tc.fast {
+				t.Errorf("wire arm committed = %v (%.1f allocs/cycle), want %v", committed, allocs, tc.fast)
+			}
+			assertSameGuard(t, fast, slow, fastCPU, slowCPU)
+			reply, err := dnswire.Unpack(fast.io.buf[:fast.io.n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.ID != 0x5151 || reply.Flags.RCode != tc.rcode || len(reply.Answers) != tc.answers {
+				t.Errorf("reply id %#x rcode %v with %d answers, want %v with %d",
+					reply.ID, reply.Flags.RCode, len(reply.Answers), tc.rcode, tc.answers)
+			}
+		})
+	}
+}
+
+// assertSameGuard fails unless two guards emitted the same last reply and
+// forward, the same number of each, and agree on every counter, every CPU
+// charge, and the pending-table size.
+func assertSameGuard(t testing.TB, a, b *fastHarness, acpu, bcpu *workMeter) {
+	t.Helper()
+	if !bytes.Equal(a.io.buf[:a.io.n], b.io.buf[:b.io.n]) || a.io.wrote != b.io.wrote {
+		t.Errorf("replies diverge (%d vs %d written):\nwire %x\nslow %x",
+			a.io.wrote, b.io.wrote, a.io.buf[:a.io.n], b.io.buf[:b.io.n])
+	}
+	if !bytes.Equal(a.up.buf[:a.up.n], b.up.buf[:b.up.n]) || a.up.wrote != b.up.wrote {
+		t.Errorf("forwards diverge (%d vs %d written)", a.up.wrote, b.up.wrote)
+	}
+	if as, bs := a.g.Stats.Load(), b.g.Stats.Load(); as != bs {
+		t.Errorf("counters diverge:\nwire %+v\nslow %+v", as, bs)
+	}
+	if *acpu != *bcpu {
+		t.Errorf("CPU charges diverge: wire %+v, slow %+v", *acpu, *bcpu)
+	}
+	if ap, bp := a.g.PendingEntries(), b.g.PendingEntries(); ap != bp {
+		t.Errorf("pending entries diverge: wire %d, slow %d", ap, bp)
+	}
+}
+
+// referralSeeds are the repository ANS's own responses to the guard's
+// forwarded question: a referral with compressed in-zone NS targets, A and
+// AAAA glue and an unglued out-of-zone NS, plus an answer and NXDOMAIN.
+func referralSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	z, err := zone.Parse(`$ORIGIN foo.com.
+$TTL 3600
+@        IN SOA ns admin.foo.com. ( 1 7200 600 360000 60 )
+@        IN NS  ns
+ns       IN A   192.0.2.1
+www      IN NS  ns1.www
+www      IN NS  ns2.www
+www      IN NS  ns.example.net.
+ns1.www  IN A   198.51.100.1
+ns2.www  IN A   198.51.100.2
+ns2.www  IN AAAA 2001:db8::2
+mail     IN A   198.51.100.11
+`, dnswire.MustName("foo.com"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := netsim.New(vclock.New(1), 0).AddHost("ans", mustAddr("10.99.0.2"))
+	srv, err := ans.New(ans.Config{Env: host, Zone: z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, name := range []string{"www.foo.com", "mail.foo.com", "nope.foo.com"} {
+		q := dnswire.NewQuery(0, dnswire.MustName(name), dnswire.TypeA)
+		q.Flags.RD = false
+		qw, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := srv.HandleQuery(qw).PackUDP(dnswire.MaxUDPSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// FuzzReferralDifferential feeds arbitrary ANS response bytes, under the
+// forwarded transaction ID, to one pending fast entry in each of two
+// identical guards: one consumes it on the wire arm where it can, the other
+// through the materializing arm. Emitted wires, counters, CPU charges and
+// the pending table must agree.
+func FuzzReferralDifferential(f *testing.F) {
+	for _, w := range referralSeeds(f) {
+		f.Add(w)
+	}
+	for _, tc := range referralCases(f) {
+		f.Add(tc.resp)
+	}
+	src := mustAP("10.0.0.53:4444")
+	warm := packResponse(f, func(m *dnswire.Message) { m.Flags.RCode = dnswire.RCodeNXDomain })
+	f.Fuzz(func(t *testing.T, resp []byte) {
+		fast, fastCPU := newReferralHarness(t)
+		slow, slowCPU := newReferralHarness(t)
+		query := fast.nsQueryWire(t, src.Addr(), "www.foo.com", 0x5151)
+		fast.cycle(src, query, warm, false)
+		slow.cycle(src, query, warm, false)
+		fast.cycle(src, query, resp, false)
+		slow.cycle(src, query, resp, true)
+		assertSameGuard(t, fast, slow, fastCPU, slowCPU)
+	})
 }

@@ -1110,8 +1110,9 @@ func (s *remoteShard) handleUpstream(payload []byte, src netip.AddrPort) {
 	}
 	if entry.fast && entry.fwdQ == (dnswire.Question{}) {
 		// A fast entry whose response bailed to this path (answers,
-		// referral, case deviation): decode its wire spans once so the
-		// question-echo check and answerChild see the historical fields.
+		// NXDOMAIN with authority, case deviation, oversize reply): decode
+		// its wire spans once so the question-echo check and answerChild
+		// see the historical fields.
 		s.materializeFastLocked(entry)
 	}
 	if len(resp.Questions) == 0 || resp.Questions[0] != entry.fwdQ || src != entry.upstream {

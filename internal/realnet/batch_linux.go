@@ -34,12 +34,24 @@ type mmsghdr struct {
 }
 
 // mmsgState is the per-call scratch recvmmsg/sendmmsg point the kernel at:
-// header array, sockaddr array, one iovec per message. Pooled because
-// every ReadBatch needs the full set and they are invariant in shape.
+// header array, sockaddr array, one iovec per message, and the call's
+// progress. Pooled because every batch call needs the full set and they are
+// invariant in shape; one call owns a state from getMMsg to the pool Put, so
+// concurrent callers on one shared-fd socket never share one.
+//
+// recv and send are the RawConn.Read/Write callbacks, bound once as method
+// values when the state is created: a closure over per-call locals would
+// escape on every call.
 type mmsgState struct {
 	hdrs  []mmsghdr
 	names []syscall.RawSockaddrAny
 	iovs  []syscall.Iovec
+
+	poll bool  // recvmmsg: EAGAIN ends the call instead of parking
+	done int   // datagrams received, or sent so far
+	err  error // syscall failure other than EAGAIN/EINTR
+
+	recv, send func(fd uintptr) bool
 }
 
 var mmsgPool sync.Pool
@@ -48,6 +60,7 @@ func getMMsg(n int) *mmsgState {
 	st, _ := mmsgPool.Get().(*mmsgState)
 	if st == nil {
 		st = &mmsgState{}
+		st.recv, st.send = st.recvmmsg, st.sendmmsg
 	}
 	if cap(st.hdrs) < n {
 		st.hdrs = make([]mmsghdr, n)
@@ -55,16 +68,66 @@ func getMMsg(n int) *mmsgState {
 		st.iovs = make([]syscall.Iovec, n)
 	}
 	st.hdrs, st.names, st.iovs = st.hdrs[:n], st.names[:n], st.iovs[:n]
+	st.poll, st.done, st.err = false, 0, nil
 	return st
+}
+
+// recvmmsg is the RawConn.Read callback: one non-blocking recvmmsg over the
+// whole header array. MSG_DONTWAIT keeps the syscall non-blocking regardless
+// of socket mode; blocking semantics come from the netpoller (returning
+// false parks on EAGAIN until readable or deadline). A poll never parks: the
+// first EAGAIN is the answer.
+func (st *mmsgState) recvmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			uintptr(unsafe.Pointer(&st.hdrs[0])), uintptr(len(st.hdrs)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			st.done = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			if st.poll {
+				st.err = netapi.ErrTimeout
+				return true
+			}
+			return false
+		default:
+			st.err = os.NewSyscallError("recvmmsg", errno)
+			return true
+		}
+	}
+}
+
+// sendmmsg is the RawConn.Write callback: sendmmsg until every header is
+// sent, parking on a full socket buffer.
+func (st *mmsgState) sendmmsg(fd uintptr) bool {
+	for st.done < len(st.hdrs) {
+		r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&st.hdrs[st.done])), uintptr(len(st.hdrs)-st.done),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			if r1 == 0 {
+				return false
+			}
+			st.done += int(r1)
+		case syscall.EINTR:
+		case syscall.EAGAIN:
+			return false
+		default:
+			st.err = os.NewSyscallError("sendmmsg", errno)
+			return true
+		}
+	}
+	return true
 }
 
 func (c *udpConn) readBatchOS(msgs []netapi.Datagram, timeout time.Duration) (int, error) {
 	if err := c.setReadDeadline(timeout); err != nil {
 		return 0, err
-	}
-	rc, err := c.conn.SyscallConn()
-	if err != nil {
-		return 0, mapErr(err)
 	}
 	st := getMMsg(len(msgs))
 	defer mmsgPool.Put(st)
@@ -83,57 +146,24 @@ func (c *udpConn) readBatchOS(msgs []netapi.Datagram, timeout time.Duration) (in
 			Iovlen:  1,
 		}}
 	}
-	// MSG_DONTWAIT keeps the syscall non-blocking regardless of socket
-	// mode; blocking semantics come from the netpoller (rc.Read parks on
-	// EAGAIN until readable or deadline). A poll (timeout == 0) never
-	// parks: the first EAGAIN is the answer.
-	poll := timeout == 0
-	var got int
-	var opErr error
-	ioErr := rc.Read(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&st.hdrs[0])), uintptr(len(msgs)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				got = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				if poll {
-					opErr = netapi.ErrTimeout
-					return true
-				}
-				return false
-			default:
-				opErr = os.NewSyscallError("recvmmsg", errno)
-				return true
-			}
-		}
-	})
-	if ioErr != nil {
-		return 0, mapErr(ioErr)
+	st.poll = timeout == 0
+	if err := c.raw.Read(st.recv); err != nil {
+		return 0, mapErr(err)
 	}
-	if opErr != nil {
-		return 0, opErr
+	if st.err != nil {
+		return 0, st.err
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < st.done; i++ {
 		d := &msgs[i]
 		n := int(st.hdrs[i].n)
 		d.Buf = d.Buf[:cap(d.Buf)][:n]
 		d.N = n
 		d.Addr = anyToAddrPort(&st.names[i])
 	}
-	return got, nil
+	return st.done, nil
 }
 
 func (c *udpConn) writeBatchOS(msgs []netapi.Datagram) (int, error) {
-	rc, err := c.conn.SyscallConn()
-	if err != nil {
-		return 0, mapErr(err)
-	}
 	// A socket bound over IPv6 (incl. the dual-stack wildcard) takes
 	// 4-in-6 mapped sockaddrs for IPv4 destinations, exactly as the net
 	// package arranges internally.
@@ -159,33 +189,10 @@ func (c *udpConn) writeBatchOS(msgs []netapi.Datagram) (int, error) {
 			Iovlen:  1,
 		}}
 	}
-	sent := 0
-	var opErr error
-	ioErr := rc.Write(func(fd uintptr) bool {
-		for sent < len(msgs) {
-			r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&st.hdrs[sent])), uintptr(len(msgs)-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				if r1 == 0 {
-					return false
-				}
-				sent += int(r1)
-			case syscall.EINTR:
-			case syscall.EAGAIN:
-				return false
-			default:
-				opErr = os.NewSyscallError("sendmmsg", errno)
-				return true
-			}
-		}
-		return true
-	})
-	if ioErr != nil {
-		return sent, mapErr(ioErr)
+	if err := c.raw.Write(st.send); err != nil {
+		return st.done, mapErr(err)
 	}
-	return sent, opErr
+	return st.done, st.err
 }
 
 // putSockaddr renders dst into sa in the family the socket speaks and

@@ -16,6 +16,7 @@ import (
 	"net/netip"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"dnsguard/internal/netapi"
@@ -53,7 +54,7 @@ func (e *Env) ListenUDP(addr netip.AddrPort) (netapi.UDPConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("realnet: %w", err)
 	}
-	return &udpConn{conn: conn}, nil
+	return newUDPConn(conn), nil
 }
 
 // DialTCP implements netapi.Env.
@@ -76,6 +77,16 @@ func (e *Env) ListenTCP(addr netip.AddrPort) (netapi.Listener, error) {
 
 type udpConn struct {
 	conn *net.UDPConn
+	// raw is conn's syscall.RawConn, fetched once: SyscallConn allocates a
+	// fresh wrapper per call, which the batch path would pay per read.
+	raw syscall.RawConn
+}
+
+// newUDPConn wraps a freshly bound socket. SyscallConn fails only on a nil
+// or fd-less conn, which a successful bind never returns.
+func newUDPConn(conn *net.UDPConn) *udpConn {
+	raw, _ := conn.SyscallConn()
+	return &udpConn{conn: conn, raw: raw}
 }
 
 var (

@@ -133,5 +133,5 @@ func bindAddr(addr netip.AddrPort) string {
 
 // wrapUDP adapts a ListenConfig packet conn.
 func wrapUDP(pc net.PacketConn) netapi.UDPConn {
-	return &udpConn{conn: pc.(*net.UDPConn)}
+	return newUDPConn(pc.(*net.UDPConn))
 }
